@@ -5,7 +5,7 @@ Input is the ring dump produced by blk::Tracer::dump_jsonl (armed with the
 "trace=N" mount option; benches write it via BenchRun::trace_path):
 
   line 1   {"type": "header", "schema": 1, "capacity": N, "devices": [...]}
-  ...      {"t": ns, "ev": "Q|P|U|M|D|C|X|F|TO|TC|JW|JR|JK", "dev": i,
+  ...      {"t": ns, "ev": "Q|M|D|C|R|X|F|TO|TC|JW|JR|JK", "dev": i,
             "id": n, ["parent": n,] "block": n, "n": n, "op": "R|W|F|J"}
   last     {"type": "trailer", "emitted": N, "dropped": N, "counts": [...]}
 

@@ -42,8 +42,7 @@ AggregateDevice::ChildTickets AggregateDevice::route_batch(
   astats_.batches += 1;
   astats_.bios += bios.size();
   // Logical bios queue at the volume: Q lands on the volume's trace slot
-  // (members trace their fragments separately). Idempotent for bios the
-  // plug layer already stamped.
+  // (members trace their fragments separately).
   for (Bio* b : bios) note_bio_queued(*b);
 
   // Mirror the single-device queue's crash-count order: writes are counted
@@ -121,7 +120,7 @@ Ticket AggregateDevice::submit_async_impl(std::span<Bio* const> bios) {
   return t;
 }
 
-sim::Nanos AggregateDevice::wait_impl(const Ticket& t) {
+sim::Nanos AggregateDevice::wait(const Ticket& t) {
   if (!t.valid()) return sim::now();
   auto it = outstanding_.find(t.id);
   if (it != outstanding_.end()) {
@@ -135,7 +134,7 @@ sim::Nanos AggregateDevice::wait_impl(const Ticket& t) {
   return t.done;
 }
 
-sim::Nanos AggregateDevice::flush_nowait_impl() {
+sim::Nanos AggregateDevice::flush_nowait() {
   pokes();
   // FLUSH every serving member in parallel: each barriers its own
   // channels; the volume's flush completes when the slowest member

@@ -153,6 +153,11 @@ class AggregateDevice : public BlockDevice {
   [[nodiscard]] std::uint64_t dirty_blocks() const override;
   [[nodiscard]] const DeviceStats& stats() const override;
 
+  /// Redeem every member ticket of a volume batch, then the volume's.
+  sim::Nanos wait(const Ticket& t) override;
+  /// FLUSH every serving member in parallel; done at the slowest.
+  sim::Nanos flush_nowait() override;
+
   /// Register the volume AND every member in the shared trace: the volume
   /// takes `name`, member `i` takes "<name>/<i>" (recursively for nested
   /// volumes, e.g. RAID10's mirrors). Volume-level Q/C events land on the
@@ -173,12 +178,9 @@ class AggregateDevice : public BlockDevice {
                       std::size_t rebuild_batch = 64,
                       sim::Nanos rebuild_lead = 2 * sim::kMillisecond);
 
-  // ---- submission skeleton (BlockDevice impl hooks; the public entry
-  // points add the plug layer) ----
+  // ---- submission skeleton (BlockDevice submission hooks) ----
   sim::Nanos submit_impl(std::span<Bio* const> bios) override;
   Ticket submit_async_impl(std::span<Bio* const> bios) override;
-  sim::Nanos wait_impl(const Ticket& t) override;
-  sim::Nanos flush_nowait_impl() override;
 
   /// Policy hook: submit one batch, already classified by the kill model.
   /// `writes` are the surviving write bios in stable first-block order;

@@ -123,8 +123,8 @@ sim::Nanos RequestQueue::start_batch(std::span<Bio* const> bios) {
   std::vector<Bio*> reads, writes;
   for (Bio* b : bios) {
     assert(!b->vecs.empty() && "submitting an empty bio");
-    // Idempotent: bios that already queued upstream (plug accumulation,
-    // volume routing) keep their original queue time and trace id.
+    // Idempotent: bios that already queued upstream (volume routing)
+    // keep their original queue time and trace id.
     dev_->note_bio_queued(*b);
     (b->op == BioOp::Read ? reads : writes).push_back(b);
   }

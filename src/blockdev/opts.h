@@ -42,7 +42,7 @@ inline bool opt_num_after(std::string_view tok, std::string_view prefix,
 inline bool known_opt_token(std::string_view tok) {
   static constexpr std::string_view kExact[] = {
       "rw",       "linear",  "nogroup", "nopipeline",
-      "noplug",   "noflusher", "io_uring", "extfuse",
+      "noflusher", "io_uring", "extfuse",
       "scrub",    "lax_opts", "policy=rr", "policy=sq",
       "errors=remount-ro", "errors=continue", "errors=panic"};
   static constexpr std::string_view kNumeric[] = {
@@ -68,13 +68,19 @@ inline std::vector<std::string> unknown_opt_tokens(std::string_view opts) {
   return bad;
 }
 
+/// Whether `want` appears as a whole token of a mount-option string
+/// (never as a substring: "extfuse_off" does not set "extfuse").
+inline bool has_opt(std::string_view opts, std::string_view want) {
+  bool found = false;
+  for_each_opt_token(opts,
+                     [&](std::string_view tok) { found = found || tok == want; });
+  return found;
+}
+
 /// The "lax_opts" escape hatch: this mount opts out of strict validation
 /// (for experiments carrying options the vocabulary does not know yet).
 inline bool opts_lax(std::string_view opts) {
-  bool lax = false;
-  for_each_opt_token(opts,
-                     [&](std::string_view tok) { lax = lax || tok == "lax_opts"; });
-  return lax;
+  return has_opt(opts, "lax_opts");
 }
 
 }  // namespace bsim::blk

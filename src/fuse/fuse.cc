@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "blockdev/opts.h"
 #include "sim/cost_model.h"
 #include "sim/thread.h"
 
@@ -228,7 +229,7 @@ kern::Result<kern::SuperBlock*> FuseFsType::mount(blk::BlockDevice& dev,
   if (!fd.ok()) return fd.error();
 
   // "-o io_uring": the daemon batches its block I/O submissions (§8.1).
-  const bool use_uring = opts.find("io_uring") != std::string_view::npos;
+  const bool use_uring = blk::has_opt(opts, "io_uring");
 
   auto sb = std::make_unique<kern::SuperBlock>(dev, /*buffer_cache=*/16384);
   sb->fs_name = name_;
@@ -239,7 +240,7 @@ kern::Result<kern::SuperBlock*> FuseFsType::mount(blk::BlockDevice& dev,
       std::make_unique<FuseModule>(*sb, factory_(), std::move(backend),
                                    std::move(daemon), fd.value());
   // "-o extfuse": attach the eBPF metadata caches (paper §2.2, [5]).
-  if (opts.find("extfuse") != std::string_view::npos) {
+  if (blk::has_opt(opts, "extfuse")) {
     module->attach_extfuse(std::make_unique<ExtFuseFilter>());
   }
   sb->fs_info = static_cast<bento::BentoModule*>(module.get());

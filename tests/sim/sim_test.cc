@@ -164,6 +164,7 @@ TEST(LatencyHistogram, MeanMinMaxQuantiles) {
   EXPECT_EQ(h.max(), 1000);
   EXPECT_DOUBLE_EQ(h.mean(), 400.0);
   EXPECT_GE(h.quantile(0.99), 512);  // log-bucket upper bound
+  EXPECT_LE(h.quantile(0.99), h.max());  // ... clamped to the recorded max
 }
 
 TEST(LatencyHistogram, Merge) {

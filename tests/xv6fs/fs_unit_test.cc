@@ -202,10 +202,9 @@ TEST_F(Xv6Rig, EmptyForceCommitAndFlushAreSkipped) {
 }
 
 TEST_F(Xv6Rig, MountOptsTuneTheLogParams) {
-  LogParams p = merge_log_opts("rw,max_log_batch=4,noplug,nopipeline,chunk=16",
-                               LogParams{});
+  LogParams p =
+      merge_log_opts("rw,max_log_batch=4,nopipeline,chunk=16", LogParams{});
   EXPECT_EQ(p.max_log_batch, 4u);
-  EXPECT_FALSE(p.plug);
   EXPECT_FALSE(p.pipeline);
   LogParams q = merge_log_opts("nogroup", LogParams{});
   EXPECT_EQ(q.max_log_batch, 1u);
