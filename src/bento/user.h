@@ -62,7 +62,7 @@ class UserBlockBackend final : public BlockBackend {
     bool uptodate = false;
     bool dirty = false;
     int refcount = 0;
-    std::array<std::byte, blk::kBlockSize> data{};
+    alignas(8) std::array<std::byte, blk::kBlockSize> data{};
   };
 
   kern::Result<UserBuf*> get_buf(std::uint64_t blockno, bool read);
@@ -105,7 +105,8 @@ class MemBlockBackend final : public BlockBackend {
  private:
   struct MemBuf {
     int refcount = 0;
-    std::array<std::byte, blk::kBlockSize> data{};
+    /// 8-aligned: file systems read on-disk structs (inodes) in place.
+    alignas(8) std::array<std::byte, blk::kBlockSize> data{};
   };
   std::uint64_t nblocks_;
   std::unordered_map<std::uint64_t, std::unique_ptr<MemBuf>> blocks_;

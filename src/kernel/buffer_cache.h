@@ -40,7 +40,10 @@ struct BufferHead {
   bool jdirty = false;
   int refcount = 0;
   BufferCache* cache = nullptr;
-  std::array<std::byte, blk::kBlockSize> data{};
+  /// This buffer's node in the cache's LRU list (intrusive position).
+  std::list<BufferHead*>::iterator lru_pos;
+  /// 8-aligned: file systems read on-disk structs (inodes) in place.
+  alignas(8) std::array<std::byte, blk::kBlockSize> data{};
 
   [[nodiscard]] std::span<std::byte> bytes() { return {data.data(), data.size()}; }
   [[nodiscard]] std::span<const std::byte> bytes() const {
@@ -244,8 +247,9 @@ class BufferCache {
   std::vector<ErrSeq> wb_err_;
   Err wb_last_err_ = Err::Ok;
   std::unordered_map<std::uint64_t, std::unique_ptr<BufferHead>> map_;
-  std::list<std::uint64_t> lru_;  // front = most recent
-  std::unordered_map<std::uint64_t, std::list<std::uint64_t>::iterator> lru_pos_;
+  /// Front = most recent. Each buffer holds its own node (lru_pos), so a
+  /// hit is one splice and eviction walks buffers, not map lookups.
+  std::list<BufferHead*> lru_;
   sim::SimMutex lock_;
   std::uint64_t outstanding_refs_ = 0;
   std::size_t nr_dirty_ = 0;

@@ -227,11 +227,11 @@ Err AddressSpace::writeback(Inode& inode, AddressSpaceOps& aops) {
 }
 
 void AddressSpace::truncate_from(std::uint64_t from_pgoff) {
-  auto it = pages_.lower_bound(from_pgoff);
-  while (it != pages_.end()) {
-    if (it->second.dirty) nr_dirty_ -= 1;
-    it = pages_.erase(it);
-  }
+  std::erase_if(pages_, [&](const auto& kv) {
+    if (kv.first < from_pgoff) return false;
+    if (kv.second.dirty) nr_dirty_ -= 1;
+    return true;
+  });
   dirty_pages_.erase(dirty_pages_.lower_bound(from_pgoff),
                      dirty_pages_.end());
 }

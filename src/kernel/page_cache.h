@@ -5,10 +5,10 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <set>
 #include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "kernel/errno.h"
@@ -179,10 +179,13 @@ class AddressSpace {
 
  private:
   Inode* owner_ = nullptr;
-  std::map<std::uint64_t, Page> pages_;  // ordered for run coalescing
-  /// Dirty-tag index (the radix tree's PAGECACHE_TAG_DIRTY): writeback
-  /// walks only dirty pages, not the whole mapping — an append-fsync
-  /// workload on a large file is O(dirty) per fsync, not O(file).
+  /// Resident pages by pgoff, unordered: lookups are O(1), and nothing
+  /// walks them in order (Page references stay valid across rehashing).
+  std::unordered_map<std::uint64_t, Page> pages_;
+  /// Dirty-tag index (the radix tree's PAGECACHE_TAG_DIRTY), ordered:
+  /// writeback walks only dirty pages, in pgoff order for run coalescing,
+  /// not the whole mapping — an append-fsync workload on a large file is
+  /// O(dirty) per fsync, not O(file).
   std::set<std::uint64_t> dirty_pages_;
   std::size_t nr_dirty_ = 0;
   ReadaheadState ra_;

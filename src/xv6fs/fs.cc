@@ -88,15 +88,7 @@ Err Xv6FileSystem::scan_free_counts(Cap& sb) {
   for (std::uint32_t b = 0; b < dsb_.nbitmap; ++b) {
     auto bh = sb.bread(dsb_.bmapstart + b);
     if (!bh.ok()) return bh.error();
-    const auto bytes = bh.value().data();
-    for (std::uint32_t i = 0; i < kBitsPerBlock; ++i) {
-      const std::uint64_t blockno =
-          static_cast<std::uint64_t>(b) * kBitsPerBlock + i;
-      if (blockno >= dsb_.size) break;
-      if ((bytes[i / 8] & (std::byte{1} << (i % 8))) == std::byte{0}) {
-        free_blocks_ += 1;
-      }
-    }
+    free_blocks_ += dsb_.count_free_blocks(bh.value().data(), b);
   }
   return Err::Ok;
 }
@@ -197,14 +189,9 @@ Result<std::uint32_t> Xv6FileSystem::balloc(Cap& sb) {
     if (!bh.ok()) return bh.error();
     auto bytes = bh.value().data();
     sim::charge(300);  // bit scan within the block
-    for (std::uint32_t i = 0; i < kBitsPerBlock; ++i) {
-      const std::uint64_t blockno =
-          static_cast<std::uint64_t>(bi) * kBitsPerBlock + i;
-      if (blockno >= dsb_.size) break;
-      if (blockno < dsb_.datastart) continue;
-      if ((bytes[i / 8] & (std::byte{1} << (i % 8))) != std::byte{0}) {
-        continue;
-      }
+    const std::uint32_t blockno = dsb_.find_free_block(bytes, bi);
+    if (blockno != 0) {
+      const std::uint32_t i = blockno % kBitsPerBlock;
       bytes[i / 8] |= std::byte{1} << (i % 8);
       bh.value().set_dirty();
       log_.log_write(sb, dsb_.bmapstart + bi);
@@ -212,12 +199,12 @@ Result<std::uint32_t> Xv6FileSystem::balloc(Cap& sb) {
       free_blocks_ -= 1;
 
       // bzero: fresh blocks must read back as zeroes.
-      auto zb = sb.getblk(static_cast<std::uint32_t>(blockno));
+      auto zb = sb.getblk(blockno);
       if (!zb.ok()) return zb.error();
       std::memset(zb.value().data().data(), 0, kBlockSize);
       zb.value().set_dirty();
-      log_.log_write(sb, static_cast<std::uint32_t>(blockno));
-      return static_cast<std::uint32_t>(blockno);
+      log_.log_write(sb, blockno);
+      return blockno;
     }
   }
   return Err::NoSpc;

@@ -14,9 +14,12 @@
 // identical" file systems.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <span>
 
+#include "blockdev/bitmap.h"
 #include "blockdev/device.h"
 
 namespace bsim::xv6 {
@@ -83,6 +86,25 @@ struct DiskSuperblock {
   }
   [[nodiscard]] std::uint32_t bitmap_block(std::uint32_t blockno) const {
     return bmapstart + blockno / kBitsPerBlock;
+  }
+  /// The lowest-numbered free data block among the bits `bits` of bitmap
+  /// block `bi`, or 0 (never a data block) if they have none.
+  [[nodiscard]] std::uint32_t find_free_block(std::span<const std::byte> bits,
+                                              std::uint32_t bi) const {
+    const std::uint64_t base = std::uint64_t{bi} * kBitsPerBlock;
+    const std::uint64_t end = base + kBitsPerBlock;
+    const std::uint64_t lo = std::clamp<std::uint64_t>(datastart, base, end);
+    const std::uint64_t hi = std::clamp<std::uint64_t>(size, lo, end);
+    const std::size_t i = blk::find_next_zero_bit(bits, lo - base, hi - base);
+    return i < hi - base ? static_cast<std::uint32_t>(base + i) : 0;
+  }
+  /// Free blocks (data or not) among the bits `bits` of bitmap block `bi`.
+  [[nodiscard]] std::uint64_t count_free_blocks(
+      std::span<const std::byte> bits, std::uint32_t bi) const {
+    const std::uint64_t base = std::uint64_t{bi} * kBitsPerBlock;
+    const std::size_t nbits = static_cast<std::size_t>(
+        std::min<std::uint64_t>(size - base, kBitsPerBlock));
+    return nbits - blk::count_set_bits(bits, 0, nbits);
   }
 };
 

@@ -223,15 +223,7 @@ Err Xv6cMount::scan_free_counts() {
   for (std::uint32_t b = 0; b < dsb_.nbitmap; ++b) {
     auto bh = bc.bread(dsb_.bmapstart + b);
     if (!bh.ok()) return bh.error();
-    const auto bytes = bh.value()->bytes();
-    for (std::uint32_t i = 0; i < xv6::kBitsPerBlock; ++i) {
-      const std::uint64_t blockno =
-          static_cast<std::uint64_t>(b) * xv6::kBitsPerBlock + i;
-      if (blockno >= dsb_.size) break;
-      if ((bytes[i / 8] & (std::byte{1} << (i % 8))) == std::byte{0}) {
-        free_blocks_ += 1;
-      }
-    }
+    free_blocks_ += dsb_.count_free_blocks(bh.value()->bytes(), b);
     bc.brelse(bh.value());
   }
   return Err::Ok;
@@ -332,12 +324,9 @@ Result<std::uint32_t> Xv6cMount::balloc() {
     if (!bh.ok()) return bh.error();
     auto bytes = bh.value()->bytes();
     sim::charge(300);
-    for (std::uint32_t i = 0; i < xv6::kBitsPerBlock; ++i) {
-      const std::uint64_t blockno =
-          static_cast<std::uint64_t>(bi) * xv6::kBitsPerBlock + i;
-      if (blockno >= dsb_.size) break;
-      if (blockno < dsb_.datastart) continue;
-      if ((bytes[i / 8] & (std::byte{1} << (i % 8))) != std::byte{0}) continue;
+    const std::uint32_t blockno = dsb_.find_free_block(bytes, bi);
+    if (blockno != 0) {
+      const std::uint32_t i = blockno % xv6::kBitsPerBlock;
       bytes[i / 8] |= std::byte{1} << (i % 8);
       bc.mark_dirty(bh.value());
       log_write(dsb_.bmapstart + bi);
@@ -350,7 +339,7 @@ Result<std::uint32_t> Xv6cMount::balloc() {
       bc.mark_dirty(zb.value());
       log_write(blockno);
       bc.brelse(zb.value());
-      return static_cast<std::uint32_t>(blockno);
+      return blockno;
     }
     bc.brelse(bh.value());
   }

@@ -139,6 +139,49 @@ TEST_F(BufferCacheTest, ReferencedBuffersAreNotEvicted) {
   cache.brelse(pinned.value());
 }
 
+TEST_F(BufferCacheTest, EvictsLeastRecentlyUsedUnreferenced) {
+  BufferCache cache(dev_, 4);
+  // Block 0: dirty and owned by a running journal transaction.
+  auto j = cache.bread(0);
+  ASSERT_TRUE(j.ok());
+  cache.mark_dirty(j.value());
+  cache.brelse(j.value());
+  cache.pin_journal(0, true);
+  // Block 1: referenced for the whole test.
+  auto held = cache.bread(1);
+  ASSERT_TRUE(held.ok());
+  for (const std::uint64_t b : {2ULL, 3ULL}) {
+    auto bh = cache.bread(b);
+    ASSERT_TRUE(bh.ok());
+    cache.brelse(bh.value());
+  }
+  // LRU order, most recent first: 3 2 1 0. A hit on 2 moves it to the
+  // front: 2 3 1 0.
+  auto hit = cache.bread(2);
+  ASSERT_TRUE(hit.ok());
+  cache.brelse(hit.value());
+  ASSERT_EQ(cache.stats().hits, 1u);
+
+  // A miss at capacity walks from the tail: 0 is journal-pinned, 1 is
+  // referenced, so 3 is the victim (2 would be, without the hit).
+  auto fresh = cache.bread(4);
+  ASSERT_TRUE(fresh.ok());
+  cache.brelse(fresh.value());
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_EQ(cache.cached_blocks(), 4u);
+  EXPECT_TRUE(j.value()->dirty) << "a journal-pinned buffer was written";
+  EXPECT_EQ(dev_.stats().writes, 0u);
+
+  const auto misses = cache.stats().misses;
+  for (const std::uint64_t b : {0ULL, 1ULL, 2ULL, 4ULL}) {
+    auto bh = cache.bread(b);
+    ASSERT_TRUE(bh.ok());
+    EXPECT_EQ(cache.stats().misses, misses) << "block " << b << " was evicted";
+    cache.brelse(bh.value());
+  }
+  cache.brelse(held.value());
+}
+
 TEST_F(BufferCacheTest, OutstandingRefsTracked) {
   BufferCache cache(dev_, 16);
   EXPECT_EQ(cache.outstanding_refs(), 0u);

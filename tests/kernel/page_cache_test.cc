@@ -135,6 +135,41 @@ TEST_F(PageCacheTest, TruncateDropsPagesAndZeroesTail) {
   EXPECT_EQ(p1->bytes()[kPageSize - 1], std::byte{0});
 }
 
+TEST_F(PageCacheTest, TruncateSparseMappingKeepsDirtyIndexConsistent) {
+  Inode inode(sb_, 10);
+  RecordingAops aops(true);
+  // A sparse mapping with dirty pages on both sides of the cut.
+  for (std::uint64_t pg : {0ULL, 3ULL, 7ULL, 10ULL, 12ULL, 40ULL, 41ULL}) {
+    auto& page = inode.mapping.find_or_alloc(pg);
+    page.uptodate = true;
+    std::memset(page.bytes().data(), 0xFF, kPageSize);
+  }
+  for (std::uint64_t pg : {0ULL, 7ULL, 12ULL, 40ULL}) {
+    inode.mapping.mark_dirty(pg);
+  }
+  inode.size = 42 * kPageSize;
+  generic_truncate_pagecache(inode, 10 * kPageSize + 1);  // pages >= 11 go
+  EXPECT_EQ(inode.mapping.nr_pages(), 4u);  // 0, 3, 7, 10
+  EXPECT_EQ(inode.mapping.nr_dirty(), 2u);  // 0, 7
+
+  // Writeback sees exactly the surviving dirty pages, in order.
+  ASSERT_EQ(Err::Ok, inode.mapping.writeback(inode, aops));
+  ASSERT_EQ(aops.run_shapes.size(), 2u);
+  EXPECT_EQ(aops.run_shapes[0],
+            std::make_pair(std::uint64_t{0}, std::size_t{1}));
+  EXPECT_EQ(aops.run_shapes[1],
+            std::make_pair(std::uint64_t{7}, std::size_t{1}));
+  EXPECT_EQ(inode.mapping.nr_dirty(), 0u);
+
+  // A dropped page comes back fresh: not uptodate, zero-filled, clean.
+  auto& again = inode.mapping.find_or_alloc(12);
+  EXPECT_FALSE(again.uptodate);
+  EXPECT_FALSE(again.dirty);
+  EXPECT_EQ(again.bytes()[0], std::byte{0});
+  inode.mapping.mark_dirty(12);
+  EXPECT_EQ(inode.mapping.nr_dirty(), 1u);
+}
+
 /// Fault injection: fails every writepages run (and every writepage call)
 /// past a configurable budget — the mid-run failure the partial-writeback
 /// regression tests drive.

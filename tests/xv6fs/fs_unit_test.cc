@@ -4,6 +4,7 @@
 // allocator accounting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -27,25 +28,30 @@ class Xv6Rig : public ::testing::Test {
 
   void SetUp() override {
     sim::set_current(&thread_);
-    // Format via a scratch device, copy metadata into the memory backend.
-    blk::DeviceParams params;
-    params.nblocks = kBlocks;
-    blk::BlockDevice scratch(params);
-    dsb_ = mkfs(scratch, /*ninodes=*/1024);
-
-    auto backend = std::make_unique<bento::MemBlockBackend>(kBlocks);
-    {
-      auto cap = bento::CapTestAccess::make(*backend);
-      std::array<std::byte, kBlockSize> buf{};
-      for (std::uint32_t b = 1; b <= dsb_.datastart; ++b) {
-        scratch.read_untimed(b, buf);
-        auto bh = cap->getblk(b);
-        std::memcpy(bh.value().data().data(), buf.data(), buf.size());
-      }
-    }
     mount_ = std::make_unique<bento::UserMount>(
-        std::move(backend), std::make_unique<Xv6FileSystem>());
+        format(kBlocks, /*ninodes=*/1024, dsb_),
+        std::make_unique<Xv6FileSystem>());
     ASSERT_EQ(Err::Ok, mount_->mount_init());
+  }
+
+  /// A freshly formatted in-memory disk: mkfs on a scratch device, with
+  /// the metadata copied into the memory backend.
+  static std::unique_ptr<bento::MemBlockBackend> format(
+      std::uint64_t nblocks, std::uint32_t ninodes, DiskSuperblock& dsb) {
+    blk::DeviceParams params;
+    params.nblocks = nblocks;
+    blk::BlockDevice scratch(params);
+    dsb = mkfs(scratch, ninodes);
+
+    auto backend = std::make_unique<bento::MemBlockBackend>(nblocks);
+    auto cap = bento::CapTestAccess::make(*backend);
+    std::array<std::byte, kBlockSize> buf{};
+    for (std::uint32_t b = 1; b <= dsb.datastart; ++b) {
+      scratch.read_untimed(b, buf);
+      auto bh = cap->getblk(b);
+      std::memcpy(bh.value().data().data(), buf.data(), buf.size());
+    }
+    return backend;
   }
 
   Xv6FileSystem& fs() {
@@ -288,6 +294,80 @@ TEST_F(Xv6Rig, StatfsTracksAllocations) {
   ASSERT_TRUE(s1.ok());
   EXPECT_EQ(s1.value().free_inodes + 1, s0.value().free_inodes);
   EXPECT_LT(s1.value().free_blocks, s0.value().free_blocks);
+}
+
+TEST_F(Xv6Rig, AllocatesEveryBlockThenNoSpc) {
+  // A small image whose data area starts and ends inside a 64-bit bitmap
+  // word, so the allocator's word search begins and ends mid-word.
+  DiskSuperblock dsb;
+  auto backend = format(/*nblocks=*/1000, /*ninodes=*/64, dsb);
+  ASSERT_NE(dsb.datastart % 64, 0u);
+  ASSERT_NE(dsb.size % 64, 0u);
+  bento::MemBlockBackend& disk = *backend;
+  bento::UserMount mount(std::move(backend),
+                         std::make_unique<Xv6FileSystem>());
+  ASSERT_EQ(Err::Ok, mount.mount_init());
+  auto& small = static_cast<Xv6FileSystem&>(mount.fs());
+
+  // Grow one file a block at a time until the allocator runs dry.
+  auto file = small.create(mount.mkreq(), mount.borrow(), kRootIno, "fill",
+                           0644);
+  ASSERT_TRUE(file.ok());
+  const std::vector<std::byte> block(kBlockSize, std::byte{0x7E});
+  Err last = Err::Ok;
+  for (std::uint64_t bn = 0; bn <= dsb.ndata && last == Err::Ok; ++bn) {
+    auto w = small.write(mount.mkreq(), mount.borrow(), file.value().ino, 0,
+                         bn * kBlockSize, block);
+    last = w.ok() ? Err::Ok : w.error();
+  }
+  EXPECT_EQ(last, Err::NoSpc);
+  mount.check_borrows();
+  auto st = small.statfs(mount.mkreq(), mount.borrow());
+  ASSERT_TRUE(st.ok());
+  EXPECT_EQ(st.value().free_blocks, 0u);
+
+  // Every block the inodes reference (data and index blocks) is a data
+  // block, none is referenced twice, and together they are all of them.
+  auto cap = bento::CapTestAccess::make(disk);
+  std::vector<std::uint32_t> refs;
+  const auto index_entries = [&](std::uint32_t b) {
+    std::vector<std::uint32_t> out(kNIndirect);
+    auto bh = cap->bread(b);
+    std::memcpy(out.data(), bh.value().data().data(), kBlockSize);
+    std::erase(out, 0u);
+    return out;
+  };
+  for (std::uint32_t inum = 1; inum < dsb.ninodes; ++inum) {
+    auto ib = cap->bread(dsb.inode_block(inum));
+    ASSERT_TRUE(ib.ok());
+    Dinode d;
+    std::memcpy(&d, ib.value().data().data() +
+                        (inum % kInodesPerBlock) * sizeof(Dinode),
+                sizeof(Dinode));
+    if (d.type == static_cast<std::uint16_t>(InodeKind::Free)) continue;
+    for (const std::uint32_t a : d.addrs) {
+      if (a != 0) refs.push_back(a);
+    }
+    if (d.indirect != 0) {
+      refs.push_back(d.indirect);
+      for (const std::uint32_t a : index_entries(d.indirect)) refs.push_back(a);
+    }
+    if (d.dindirect != 0) {
+      refs.push_back(d.dindirect);
+      for (const std::uint32_t mid : index_entries(d.dindirect)) {
+        refs.push_back(mid);
+        for (const std::uint32_t a : index_entries(mid)) refs.push_back(a);
+      }
+    }
+  }
+  for (const std::uint32_t b : refs) {
+    EXPECT_GE(b, dsb.datastart);
+    EXPECT_LT(b, dsb.size);
+  }
+  std::sort(refs.begin(), refs.end());
+  EXPECT_EQ(std::adjacent_find(refs.begin(), refs.end()), refs.end())
+      << "a block was allocated twice";
+  EXPECT_EQ(refs.size(), dsb.ndata);
 }
 
 TEST_F(Xv6Rig, ReaddirStreamsAllEntries) {
